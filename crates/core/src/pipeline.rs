@@ -1,52 +1,55 @@
-//! The parallel sharded ingest pipeline (DESIGN.md §7).
+//! The parallel ingest engines (DESIGN.md §7, §11).
 //!
 //! `ConcurrentGSketch` has accepted concurrent callers since the arena
-//! refactor, but nothing in the repo actually *fanned a stream out*
-//! across cores — and naive fan-out (every thread calling `update` per
+//! refactor, but naive fan-out (every thread calling `update` per
 //! arrival) pays the router probe, `d` hash evaluations and `d` atomic
-//! RMWs for every single arrival. This module adds the missing stages
-//! between a chunked [`EdgeSource`] and the shared
-//! [`AtomicCmArena`](sketch::AtomicCmArena):
+//! RMWs for every single arrival. Both engines here put the same
+//! per-thread combiner (`OwnerWorker`) between the stream and the
+//! [`SlotSink`]:
 //!
-//! 1. **Staging.** Each worker refills a private staging buffer from the
-//!    shared source under one short lock (the source hands out contiguous
-//!    chunks, so the lock is held for a `memcpy`, not per arrival).
-//! 2. **Hot-key combining.** The worker folds its chunk through a 4-way
-//!    set-associative combiner cache tagged by the raw `(src, dst)`
-//!    endpoint pair (one 64-byte set per probe, heaviest-stays eviction,
-//!    software-prefetched a few arrivals ahead). The Zipf head of a real
-//!    graph stream hits the cache over and over, accumulating one weight
-//!    instead of issuing one synopsis update per arrival; both the
-//!    router probe and the 64-bit sketch-key mix happen only when an
-//!    entry enters or leaves the cache, so hot edges pay them once, not
-//!    once per arrival.
-//! 3. **Slot sort.** Evicted and drained cache entries — now one
-//!    `(slot, key, weight)` triple per distinct key per cache residency —
-//!    are counting-sorted by destination slot, extending PR 2's
-//!    slot-grouped batching to the concurrent path.
+//! 1. **Hot-key combining.** Arrivals fold into a 4-way set-associative
+//!    cache tagged by the raw `(src, dst)` endpoint pair (one 64-byte
+//!    set per probe, heaviest-stays eviction, software-prefetched a few
+//!    arrivals ahead) with **64-bit saturating accumulators**. The Zipf
+//!    head of a real graph stream hits the cache over and over,
+//!    accumulating one weight instead of issuing one synopsis update
+//!    per arrival. Any weight fits, and saturating addition is
+//!    associative, so pre-summing arrivals commits the same counter
+//!    values as adding them one by one.
+//! 2. **Deferred routing.** The cache holds no slot. Evicted and drained
+//!    entries are routed at commit time, in one batched pass over the
+//!    evicted list (one router probe per *committed* entry, with the
+//!    router's table hot for the whole pass); the 64-bit sketch key is
+//!    derived in the same pass, so hot edges pay both once per cache
+//!    residency, not once per arrival.
+//! 3. **Slot sort.** The routed entries are counting-sorted by
+//!    destination slot — the slot grouping of the sequential batched
+//!    ingest, extended to the concurrent path.
 //! 4. **Span commit.** Each slot run is committed through
-//!    [`SlotSink::commit_run`] →
-//!    [`add_batch_saturating`](sketch::AtomicCmArena::add_batch_saturating):
-//!    the run walks one slot's contiguous span at a time, adjacent
-//!    duplicates coalesce, the per-key field fold is hoisted out of the
-//!    row loop, range reduction uses precomputed fastmod constants, and
-//!    the slot's total counter is contended once per run instead of once
-//!    per arrival.
+//!    [`SlotSink::commit_run`] (shared atomic adds), or through
+//!    [`SlotSink::commit_run_exclusive`] (plain stores) when the
+//!    committing thread is the sole writer of the slot: the run walks
+//!    one slot's contiguous span at a time, adjacent duplicates
+//!    coalesce, and the slot's total counter is touched once per run
+//!    instead of once per arrival.
 //!
-//! Workers touch disjoint staging and cache state and commit through
-//! saturating atomic adds, so the result is within saturating-add
-//! semantics of a sequential ingest of the same stream — bit-identical
-//! in the non-saturating regime (pinned by `backend_parity`'s parallel
-//! parity proptest). Nothing about the math depends on the thread count
-//! or the chunking, only on the multiset of arrivals.
+//! [`ParallelIngest`] runs N combiners that pull chunks of one stream
+//! and may each commit any slot, so they share the atomic path — except
+//! a sole worker over an exclusively borrowed sink
+//! ([`ParallelIngest::new_exclusive`]), which is every slot's sole
+//! writer. The result is within saturating-add semantics of a
+//! sequential ingest of the same stream — bit-identical in the
+//! non-saturating regime (pinned by `backend_parity`'s parallel parity
+//! proptest). Nothing about the math depends on the thread count or the
+//! chunking, only on the multiset of arrivals.
 //!
 //! **The owner-sharded engine** ([`ShardedIngest`], DESIGN.md §11)
 //! inverts the sharing story: instead of every worker committing any
 //! slot through the shared atomic path, a scatter stage counting-sorts
 //! each chunk by router slot and hands per-owner batches over bounded
 //! SPSC queues to owning workers, each of which is the *sole writer* of
-//! a contiguous slot range and commits it with plain load/add/store
-//! cycles — [`ParallelIngest::new_exclusive`]'s single-worker contract,
+//! a contiguous slot range and always commits exclusively —
+//! [`ParallelIngest::new_exclusive`]'s single-worker contract,
 //! generalized to N disjoint owners by the [`OwnerMap`] slot partition
 //! instead of a `&mut` borrow.
 //! When the map clamps to one owner the engine fuses scatter and
@@ -65,7 +68,7 @@
 use crate::concurrent::ConcurrentGSketch;
 use crate::router::OwnerMap;
 use crate::sink::{EdgeSink, SlotRouted};
-use gstream::edge::StreamEdge;
+use gstream::edge::{Edge, StreamEdge};
 use gstream::source::EdgeSource;
 use sketch::prefetch;
 use sketch::sync::spsc::SpscQueue;
@@ -89,10 +92,14 @@ pub const DEFAULT_CHUNK: usize = 1 << 15;
 /// R-MAT traffic bench plateaus here; see `benches/parallel_ingest.rs`).
 const SET_BITS: u32 = 16;
 
-/// Commit the evicted-entry list once it reaches this length.
-const EVICT_COMMIT_LEN: usize = 1 << 13;
+/// Commit the evicted-entry list once it reaches this length. The
+/// commit counting-sorts by slot, and longer batches mean longer
+/// per-slot runs — better span-walk amortization per commit call
+/// (measured on the ingest bench: 32 Ki batches shave several percent
+/// over 8 Ki).
+const COMMIT_LEN: usize = 1 << 15;
 
-/// How many arrivals ahead the absorb loop prefetches its combiner set.
+/// How many arrivals ahead the absorb loops prefetch their combiner set.
 const PREFETCH_AHEAD: usize = 12;
 
 /// Clamp a requested worker count to the host's available parallelism —
@@ -118,10 +125,13 @@ pub(crate) fn clamp_workers(requested: usize, oversubscribe: bool) -> usize {
 /// A shard-addressable, thread-shareable sink: the consumer-side contract
 /// of [`ParallelIngest`] and [`ShardedIngest`]. The routing half lives in
 /// the [`SlotRouted`] supertrait (shared with the slot-routed query
-/// path); this trait adds the write side. Implemented by
-/// [`ConcurrentGSketch`] (routing through its read-only router into the
-/// shared atomic arena); the generic parameter is what future shard
-/// placements (NUMA-pinned arenas, remote shards) implement.
+/// path); this trait adds the write side. Both engines route their
+/// combined entries through it in one batched pass at commit time and
+/// commit each slot run through one of the two methods below.
+/// Implemented by [`ConcurrentGSketch`] (routing through its read-only
+/// router into the shared atomic arena); the generic parameter is what
+/// future shard placements (NUMA-pinned arenas, remote shards)
+/// implement.
 pub trait SlotSink: SlotRouted + Sync {
     /// Commit a run of `(key, weight)` pairs into `slot`. Callable from
     /// any thread; runs for different slots touch disjoint counter
@@ -163,37 +173,17 @@ pub struct IngestReport {
     pub workers: usize,
 }
 
-/// One 4-way combiner set, exactly one cache line. Ways are tagged by
-/// the raw `(src, dst)` endpoint pair — exact equality, no hashing —
-/// and `weights[j] == 0` marks way `j` free (zero-weight arrivals are
-/// identities and are dropped at the door), so a probe is one line
-/// fill, four compares. The 64-bit sketch key is only derived when an
-/// entry leaves the cache, i.e. once per distinct entry per residency
-/// instead of once per arrival.
-#[repr(align(64))]
-#[derive(Clone, Copy)]
-struct CacheSet {
-    pairs: [u64; 4],
-    slots: [u32; 4],
-    weights: [u32; 4],
+/// The packed endpoint pair identifying an edge exactly: the tag of the
+/// ingest combiner and of the replay memo (`crate::replay`).
+#[inline]
+pub(crate) fn edge_pair(e: Edge) -> u64 {
+    (u64::from(e.src.0) << 32) | u64::from(e.dst.0)
 }
 
-const EMPTY_SET: CacheSet = CacheSet {
-    pairs: [0; 4],
-    slots: [0; 4],
-    weights: [0; 4],
-};
-
-/// The packed endpoint pair identifying an edge exactly.
+/// Cache set index for a pair: one Fibonacci multiply — the combiner
+/// and the memo only need spread, not pairwise independence.
 #[inline]
-fn edge_pair(se: &StreamEdge) -> u64 {
-    (u64::from(se.edge.src.0) << 32) | u64::from(se.edge.dst.0)
-}
-
-/// Combiner set index for a pair: one Fibonacci multiply — the cache
-/// only needs spread, not pairwise independence.
-#[inline]
-fn set_index(pair: u64, shift: u32) -> usize {
+pub(crate) fn set_index(pair: u64, shift: u32) -> usize {
     // cast: u64 -> usize; `>> shift` leaves at most (64 - shift) bits,
     // the set-count bit width, so the index fits and is in range.
     ((pair ^ (pair >> 29)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
@@ -206,157 +196,169 @@ fn pair_key(pair: u64) -> u64 {
     sketch::hash::combine64(pair >> 32, pair & 0xFFFF_FFFF)
 }
 
-/// Per-worker pipeline state: the combiner cache, the evicted-entry
-/// staging list, and the counting-sort scratch. Private to one worker —
-/// never shared, never locked.
-struct Worker {
-    sets: Box<[CacheSet]>,
+/// One 4-way combiner set, exactly one cache line: four pair tags and
+/// four 64-bit accumulators. Tags are compared by exact equality (no
+/// hashing), and `weights[j] == 0` marks way `j` free (zero-weight
+/// arrivals are identities and are dropped at the door), so a probe is
+/// one line fill, four compares.
+#[repr(align(64))]
+#[derive(Clone, Copy)]
+struct OwnerSet {
+    pairs: [u64; 4],
+    weights: [u64; 4],
+}
+
+const EMPTY_OWNER_SET: OwnerSet = OwnerSet {
+    pairs: [0; 4],
+    weights: [0; 4],
+};
+
+/// Per-thread combiner state shared by both engines: the slot-less
+/// 4-way cache ([`OwnerSet`]) plus the deferred-routing commit scratch.
+/// Private to one thread — never shared, never locked.
+struct OwnerWorker {
+    sets: Box<[OwnerSet]>,
     /// `64 - log2(sets.len())`: the set-index shift.
     shift: u32,
-    /// Commit through the exclusive-writer path (see
-    /// [`ParallelIngest::new_exclusive`]; only set for a sole worker).
+    /// Commit through [`SlotSink::commit_run_exclusive`]: set only when
+    /// this thread is the sole writer of every slot it commits (a
+    /// [`ShardedIngest`] owner, or a sole [`ParallelIngest::new_exclusive`]
+    /// worker).
     exclusive: bool,
-    /// Evicted `(slot, pair, weight)` triples awaiting a batched commit.
-    evicted: Vec<(u32, u64, u64)>,
+    /// Evicted `(pair, weight)` entries awaiting a batched commit.
+    evicted: Vec<(u64, u64)>,
+    /// Slot of each evicted entry, filled by the commit's routing pass.
+    slots: Vec<u32>,
     /// Counting-sort scratch, sized to the sink's slot count.
     counts: Vec<usize>,
     cursors: Vec<usize>,
     runs: Vec<(u64, u64)>,
 }
 
-impl Worker {
+impl OwnerWorker {
     fn new(n_slots: usize, exclusive: bool) -> Self {
         Self {
-            sets: vec![EMPTY_SET; 1 << SET_BITS].into_boxed_slice(),
+            sets: vec![EMPTY_OWNER_SET; 1 << SET_BITS].into_boxed_slice(),
             shift: 64 - SET_BITS,
             exclusive,
-            evicted: Vec::with_capacity(EVICT_COMMIT_LEN + DEFAULT_CHUNK),
+            evicted: Vec::with_capacity(COMMIT_LEN + DEFAULT_CHUNK),
+            slots: Vec::with_capacity(COMMIT_LEN + DEFAULT_CHUNK),
             counts: vec![0; n_slots],
             cursors: Vec::with_capacity(n_slots),
             runs: Vec::new(),
         }
     }
 
-    /// Fold one arrival into the combiner. Hits cost one compare-and-add
-    /// in a resident line; misses route the source vertex once and
-    /// displace the set's lightest way — the heaviest (hottest) entries
-    /// are the ones that stay.
+    /// Absorb one raw stream chunk with prefetch lookahead, committing
+    /// the evicted list once it has accumulated a batch worth sorting.
     #[inline]
-    fn absorb<B: SlotSink>(&mut self, sink: &B, se: &StreamEdge) {
-        if se.weight == 0 {
-            return;
-        }
-        let pair = edge_pair(se);
-        if se.weight > u64::from(u32::MAX) {
-            // Heavier than the packed weight field: commit out-of-band.
-            self.evicted
-                .push((sink.slot_of(se.edge.src), pair, se.weight));
-            return;
-        }
-        let set = &mut self.sets[set_index(pair, self.shift)];
-        // Branch-free hit detection: all four ways are compared with
-        // plain boolean arithmetic, leaving a single well-predicted
-        // hit/miss branch instead of a data-dependent branch per way.
-        let p = &set.pairs;
-        let w = &set.weights;
-        let hit_mask = u32::from(p[0] == pair && w[0] != 0)
-            | u32::from(p[1] == pair && w[1] != 0) << 1
-            | u32::from(p[2] == pair && w[2] != 0) << 2
-            | u32::from(p[3] == pair && w[3] != 0) << 3;
-        if hit_mask != 0 {
-            let j = hit_mask.trailing_zeros() as usize;
-            let sum = u64::from(set.weights[j]) + se.weight;
-            if sum <= u64::from(u32::MAX) {
-                set.weights[j] = sum as u32;
-            } else {
-                // Accumulator full: flush it and restart the count.
-                self.evicted
-                    .push((set.slots[j], pair, u64::from(set.weights[j])));
-                set.weights[j] = se.weight as u32;
+    fn absorb_chunk<B: SlotSink>(&mut self, sink: &B, chunk: &[StreamEdge]) {
+        // Split borrows once: `sets` and `evicted` are provably disjoint
+        // buffers inside the loop, so the eviction push can't force the
+        // set line to be re-read.
+        let sets = &mut self.sets;
+        let evicted = &mut self.evicted;
+        let shift = self.shift;
+        for (i, se) in chunk.iter().enumerate() {
+            if let Some(ahead) = chunk.get(i + PREFETCH_AHEAD) {
+                prefetch(&sets[set_index(edge_pair(ahead.edge), shift)]);
             }
-            return;
+            if se.weight == 0 {
+                continue;
+            }
+            absorb_owner(sets, shift, evicted, edge_pair(se.edge), se.weight);
         }
-        // Miss: displace the lightest way (branchless min — an empty way
-        // has weight 0 and always wins).
-        let mut victim = 0usize;
-        for j in 1..4 {
-            victim = if set.weights[j] < set.weights[victim] {
-                j
-            } else {
-                victim
-            };
-        }
-        if set.weights[victim] != 0 {
-            self.evicted.push((
-                set.slots[victim],
-                set.pairs[victim],
-                u64::from(set.weights[victim]),
-            ));
-        }
-        set.pairs[victim] = pair;
-        set.slots[victim] = sink.slot_of(se.edge.src);
-        set.weights[victim] = se.weight as u32;
+        self.commit_if_full(sink);
     }
 
-    /// Absorb a staged chunk with prefetch lookahead, committing the
-    /// evicted list when it has accumulated a batch worth sorting.
-    fn process_chunk<B: SlotSink>(&mut self, sink: &B, batch: &[StreamEdge]) {
-        for (i, se) in batch.iter().enumerate() {
-            let ahead = i + PREFETCH_AHEAD;
-            if ahead < batch.len() {
-                prefetch(&self.sets[set_index(edge_pair(&batch[ahead]), self.shift)]);
+    /// Absorb one scattered owner batch with prefetch lookahead (the
+    /// owner-thread path; scatter already dropped zero weights).
+    #[inline]
+    fn absorb_batch<B: SlotSink>(&mut self, sink: &B, batch: &[(u64, u64)]) {
+        let sets = &mut self.sets;
+        let evicted = &mut self.evicted;
+        let shift = self.shift;
+        for (i, &(pair, weight)) in batch.iter().enumerate() {
+            if let Some(&(ahead, _)) = batch.get(i + PREFETCH_AHEAD) {
+                prefetch(&sets[set_index(ahead, shift)]);
             }
-            self.absorb(sink, se);
+            absorb_owner(sets, shift, evicted, pair, weight);
         }
-        if self.evicted.len() >= EVICT_COMMIT_LEN {
+        self.commit_if_full(sink);
+    }
+
+    #[inline]
+    fn commit_if_full<B: SlotSink>(&mut self, sink: &B) {
+        if self.evicted.len() >= COMMIT_LEN {
             self.commit_evicted(sink);
         }
     }
 
-    /// Counting-sort the evicted triples by slot and commit each run
-    /// through the sink's span-commit.
+    /// Route, counting-sort and commit the evicted list: one batched
+    /// routing pass fills `slots`, then each slot run goes through the
+    /// sink's exclusive span-commit when this thread is the sole writer
+    /// of every slot it commits, and through the shared one otherwise.
     ///
     /// `slot_of` contractually stays below the sink's slot count (the
     /// scratch arrays' length); the scatter indices are `get`-guarded
     /// anyway so the commit span carries no panic edge in the compiled
     /// artifact (`xtask audit` — a rogue slot drops its entries rather
     /// than panicking).
+    // audit: kernel(bounds-free)
     fn commit_evicted<B: SlotSink>(&mut self, sink: &B) {
-        if self.evicted.is_empty() {
+        // Destructure into disjoint field borrows so the scratch-array
+        // writes below can't be assumed to alias each other.
+        let Self {
+            exclusive,
+            evicted,
+            slots,
+            counts,
+            cursors,
+            runs,
+            ..
+        } = self;
+        if evicted.is_empty() {
             return;
         }
-        self.counts.fill(0);
-        for &(slot, _, _) in &self.evicted {
-            if let Some(c) = self.counts.get_mut(slot as usize) {
+        counts.fill(0);
+        slots.clear();
+        for &(pair, _) in evicted.iter() {
+            // cast: u64 -> u32; the high half of the packed pair is the
+            // source vertex id, which is 32 bits by construction.
+            let slot = sink.slot_of(gstream::vertex::VertexId((pair >> 32) as u32));
+            slots.push(slot);
+            if let Some(c) = counts.get_mut(slot as usize) {
                 *c += 1;
             }
         }
-        self.cursors.clear();
+        cursors.clear();
         let mut acc = 0usize;
-        for &c in &self.counts {
-            self.cursors.push(acc);
+        for &c in counts.iter() {
+            cursors.push(acc);
             acc += c;
         }
-        self.runs.clear();
-        self.runs.resize(self.evicted.len(), (0, 0));
-        for &(slot, pair, weight) in &self.evicted {
-            let Some(at) = self.cursors.get_mut(slot as usize) else {
+        runs.clear();
+        runs.resize(evicted.len(), (0, 0));
+        for (&(pair, weight), &slot) in evicted.iter().zip(slots.iter()) {
+            let Some(at) = cursors.get_mut(slot as usize) else {
                 continue;
             };
             // The sketch key is derived here — once per committed entry,
             // not once per arrival.
-            if let Some(r) = self.runs.get_mut(*at) {
+            if let Some(r) = runs.get_mut(*at) {
                 *r = (pair_key(pair), weight);
             }
             *at += 1;
         }
         let mut start = 0usize;
-        for (slot, &end) in self.cursors.iter().enumerate() {
+        for (slot, &end) in cursors.iter().enumerate() {
             if end > start {
-                let Some(run) = self.runs.get(start..end) else {
+                let Some(run) = runs.get(start..end) else {
                     break;
                 };
-                if self.exclusive {
+                // cast: usize -> u32; slot indices are bounded by the
+                // sink's slot count, which fits u32 (slot ids are u32).
+                if *exclusive {
                     sink.commit_run_exclusive(slot as u32, run);
                 } else {
                     sink.commit_run(slot as u32, run);
@@ -364,17 +366,19 @@ impl Worker {
             }
             start = end;
         }
-        self.evicted.clear();
+        evicted.clear();
     }
 
     /// Evict every live cache entry and commit everything: after this,
     /// all absorbed arrivals are visible in the sink.
+    // audit: kernel(bounds-free)
     fn drain<B: SlotSink>(&mut self, sink: &B) {
-        for set in self.sets.iter_mut() {
+        let sets = &mut self.sets;
+        let evicted = &mut self.evicted;
+        for set in sets.iter_mut() {
             for j in 0..4 {
                 if set.weights[j] != 0 {
-                    self.evicted
-                        .push((set.slots[j], set.pairs[j], u64::from(set.weights[j])));
+                    evicted.push((set.pairs[j], set.weights[j]));
                     set.weights[j] = 0;
                 }
             }
@@ -383,25 +387,72 @@ impl Worker {
     }
 }
 
-impl std::fmt::Debug for Worker {
+/// Fold one (non-zero-weight) arrival into a combiner. Hits
+/// saturating-add into the resident line; misses displace the set's
+/// lightest way — the heaviest (hottest) entries are the ones that
+/// stay. No routing happens here; `sets` and `evicted` are passed as
+/// separate borrows so the optimizer knows they don't alias.
+#[inline]
+fn absorb_owner(
+    sets: &mut [OwnerSet],
+    shift: u32,
+    evicted: &mut Vec<(u64, u64)>,
+    pair: u64,
+    weight: u64,
+) {
+    let set = &mut sets[set_index(pair, shift)];
+    // Branch-free hit detection: all four ways are compared with plain
+    // boolean arithmetic, leaving a single well-predicted hit/miss
+    // branch instead of a data-dependent branch per way.
+    let p = &set.pairs;
+    let w = &set.weights;
+    let hit_mask = u32::from(p[0] == pair && w[0] != 0)
+        | u32::from(p[1] == pair && w[1] != 0) << 1
+        | u32::from(p[2] == pair && w[2] != 0) << 2
+        | u32::from(p[3] == pair && w[3] != 0) << 3;
+    if hit_mask != 0 {
+        let j = hit_mask.trailing_zeros() as usize;
+        set.weights[j] = set.weights[j].saturating_add(weight);
+        return;
+    }
+    // Miss: displace the lightest way (branchless min — an empty way has
+    // weight 0 and always wins).
+    let mut victim = 0usize;
+    for j in 1..4 {
+        victim = if set.weights[j] < set.weights[victim] {
+            j
+        } else {
+            victim
+        };
+    }
+    if set.weights[victim] != 0 {
+        evicted.push((set.pairs[victim], set.weights[victim]));
+    }
+    set.pairs[victim] = pair;
+    set.weights[victim] = weight;
+}
+
+impl std::fmt::Debug for OwnerWorker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Worker")
+        f.debug_struct("OwnerWorker")
             .field("cache_entries", &(self.sets.len() * 4))
             .field("evicted", &self.evicted.len())
             .finish_non_exhaustive()
     }
 }
 
-/// The parallel sharded ingest pipeline over any [`SlotSink`] `B`
-/// (by default the [`ConcurrentGSketch`] atomic arena).
+/// The parallel ingest pipeline over any [`SlotSink`] `B` (by default
+/// the [`ConcurrentGSketch`] atomic arena): N combiners over one stream,
+/// committing through the shared atomic path.
 ///
-/// Two modes share one staging → combine → slot-sort → span-commit path:
+/// Two modes share one staging → combine → route → slot-sort →
+/// span-commit path:
 ///
 /// * **Pull** — [`run`](Self::run) drains a chunked [`EdgeSource`] from
 ///   the worker pool (scoped threads; no detached state survives the
 ///   call, and every worker's cache is drained before it returns).
 /// * **Push** — the pipeline is itself an [`EdgeSink`]: `update` /
-///   `ingest_batch` feed the calling thread's worker state, and
+///   `ingest_batch` feed the calling thread's combiner, and
 ///   [`flush`](EdgeSink::flush) drains it. Absorbed-but-unflushed
 ///   arrivals are **not** guaranteed visible to queries until the flush.
 #[derive(Debug)]
@@ -411,9 +462,9 @@ pub struct ParallelIngest<'s, B: SlotSink = ConcurrentGSketch> {
     chunk_capacity: usize,
     oversubscribe: bool,
     exclusive: bool,
-    /// Worker state for the push-mode surface (lazily created: most
+    /// Combiner for the push-mode surface (lazily created: most
     /// pull-mode pipelines never touch it).
-    local: Option<Box<Worker>>,
+    local: Option<Box<OwnerWorker>>,
     /// Arrivals accepted through the push surface since the last drain.
     staged_arrivals: usize,
 }
@@ -482,11 +533,14 @@ impl<'s, B: SlotSink> ParallelIngest<'s, B> {
         self.staged_arrivals
     }
 
-    fn local_worker(&mut self) -> &mut Worker {
+    /// The push-mode combiner, created on first use. Pushes arrive from
+    /// the one thread holding `&mut self`, so it commits exclusively
+    /// whenever the sink is exclusively borrowed.
+    fn local_worker(&mut self) -> &mut OwnerWorker {
         let n_slots = self.sink.num_slots();
         let exclusive = self.exclusive;
         self.local
-            .get_or_insert_with(|| Box::new(Worker::new(n_slots, exclusive)))
+            .get_or_insert_with(|| Box::new(OwnerWorker::new(n_slots, exclusive)))
     }
 
     /// [`run`](Self::run) specialized to an in-memory stream: workers
@@ -507,7 +561,7 @@ impl<'s, B: SlotSink> ParallelIngest<'s, B> {
         thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    let mut worker = Worker::new(n_slots, exclusive);
+                    let mut worker = OwnerWorker::new(n_slots, exclusive);
                     loop {
                         // ordering: Relaxed — the single-location RMW
                         // hands out distinct spans whatever the ordering;
@@ -524,7 +578,7 @@ impl<'s, B: SlotSink> ParallelIngest<'s, B> {
                         // via `into_inner()` after the scope join below,
                         // which already gives happens-before.
                         chunks.fetch_add(1, Ordering::Relaxed);
-                        worker.process_chunk(sink, &stream[start..end]);
+                        worker.absorb_chunk(sink, &stream[start..end]);
                     }
                     worker.drain(sink);
                 });
@@ -567,7 +621,7 @@ impl<'s, B: SlotSink> ParallelIngest<'s, B> {
             for _ in 0..workers {
                 scope.spawn(|| {
                     let mut buf: Vec<StreamEdge> = Vec::with_capacity(cap);
-                    let mut worker = Worker::new(n_slots, exclusive);
+                    let mut worker = OwnerWorker::new(n_slots, exclusive);
                     loop {
                         let n = shared
                             .lock()
@@ -584,7 +638,7 @@ impl<'s, B: SlotSink> ParallelIngest<'s, B> {
                         // (join gives happens-before; see DESIGN.md §10).
                         arrivals.fetch_add(n as u64, Ordering::Relaxed);
                         chunks.fetch_add(1, Ordering::Relaxed);
-                        worker.process_chunk(sink, &buf);
+                        worker.absorb_chunk(sink, &buf);
                     }
                     worker.drain(sink);
                 });
@@ -626,252 +680,13 @@ fn push_spin<T>(queue: &SpscQueue<T>, mut item: T) {
     }
 }
 
-/// One 4-way owner-combiner set, exactly one cache line: four pair tags
-/// and four **64-bit** accumulators. Dropping the per-way slot (the
-/// owner re-routes at commit time, batched) frees the 16 bytes the
-/// 32-bit [`CacheSet`] spends on slots, which the weights absorb — so
-/// the hit path is a plain `saturating_add` with **no overflow flush
-/// and no out-of-band heavy-weight path**: saturating addition is
-/// associative, so pre-summing arrivals in a u64 accumulator commits
-/// the same counter values as adding them one by one.
-#[repr(align(64))]
-#[derive(Clone, Copy)]
-struct OwnerSet {
-    pairs: [u64; 4],
-    weights: [u64; 4],
-}
-
-const EMPTY_OWNER_SET: OwnerSet = OwnerSet {
-    pairs: [0; 4],
-    weights: [0; 4],
-};
-
-/// Commit the owner's evicted-entry list once it reaches this length.
-/// Larger than the shared pipeline's [`EVICT_COMMIT_LEN`]: the owner's
-/// commit counting-sorts by slot, and longer batches mean longer
-/// per-slot runs — better span-walk amortization per
-/// [`SlotSink::commit_run_exclusive`] call (measured on the ingest
-/// bench: 32 Ki batches shave several percent over 8 Ki).
-const SHARD_COMMIT_LEN: usize = 1 << 15;
-
-/// Per-owner combiner state for [`ShardedIngest`]: a slot-less 4-way
-/// cache ([`OwnerSet`]) plus the deferred-routing commit scratch.
-/// Private to one owner thread — never shared, never locked.
-///
-/// The contrast with the shared pipeline's [`Worker`] is *when the
-/// router runs*: `Worker` routes every combiner miss inline, threading
-/// a hash-map probe through the hot loop; `OwnerWorker` absorbs raw
-/// `(pair, weight)` entries and routes only at commit time, in one
-/// batched pass over the evicted list (one probe per *committed* entry,
-/// with the router's table hot in cache for the whole pass).
-struct OwnerWorker {
-    sets: Box<[OwnerSet]>,
-    /// `64 - log2(sets.len())`: the set-index shift.
-    shift: u32,
-    /// Evicted `(pair, weight)` entries awaiting a batched commit.
-    evicted: Vec<(u64, u64)>,
-    /// Slot of each evicted entry, filled by the commit's routing pass.
-    slots: Vec<u32>,
-    /// Counting-sort scratch, sized to the sink's slot count.
-    counts: Vec<usize>,
-    cursors: Vec<usize>,
-    runs: Vec<(u64, u64)>,
-}
-
-impl OwnerWorker {
-    fn new(n_slots: usize) -> Self {
-        Self {
-            sets: vec![EMPTY_OWNER_SET; 1 << SET_BITS].into_boxed_slice(),
-            shift: 64 - SET_BITS,
-            evicted: Vec::with_capacity(SHARD_COMMIT_LEN + DEFAULT_CHUNK),
-            slots: Vec::with_capacity(SHARD_COMMIT_LEN + DEFAULT_CHUNK),
-            counts: vec![0; n_slots],
-            cursors: Vec::with_capacity(n_slots),
-            runs: Vec::new(),
-        }
-    }
-
-    /// Absorb one raw stream chunk with prefetch lookahead (the fused
-    /// single-owner path: this thread is scatter and owner at once, so
-    /// arrivals come straight from the stream).
-    #[inline]
-    fn absorb_chunk(&mut self, chunk: &[StreamEdge]) {
-        // Split borrows once: `sets` and `evicted` are provably disjoint
-        // buffers inside the loop, so the eviction push can't force the
-        // set line to be re-read.
-        let sets = &mut self.sets;
-        let evicted = &mut self.evicted;
-        let shift = self.shift;
-        for (i, se) in chunk.iter().enumerate() {
-            if let Some(ahead) = chunk.get(i + PREFETCH_AHEAD) {
-                prefetch(&sets[set_index(edge_pair(ahead), shift)]);
-            }
-            if se.weight == 0 {
-                continue;
-            }
-            absorb_owner(sets, shift, evicted, edge_pair(se), se.weight);
-        }
-    }
-
-    /// Absorb one scattered owner batch with prefetch lookahead (the
-    /// owner-thread path; scatter already dropped zero weights).
-    #[inline]
-    fn absorb_batch(&mut self, batch: &[(u64, u64)]) {
-        let sets = &mut self.sets;
-        let evicted = &mut self.evicted;
-        let shift = self.shift;
-        for (i, &(pair, weight)) in batch.iter().enumerate() {
-            if let Some(&(ahead, _)) = batch.get(i + PREFETCH_AHEAD) {
-                prefetch(&sets[set_index(ahead, shift)]);
-            }
-            absorb_owner(sets, shift, evicted, pair, weight);
-        }
-    }
-
-    /// Route, counting-sort and commit the evicted list: one batched
-    /// routing pass fills `slots`, then each slot run goes through the
-    /// sink's exclusive span-commit (sound: this owner is the sole
-    /// writer of every slot its pairs route to).
-    ///
-    /// `slot_of` contractually stays below the sink's slot count (the
-    /// scratch arrays' length); the scatter indices are `get`-guarded
-    /// anyway so the commit span carries no panic edge in the compiled
-    /// artifact (`xtask audit` — a rogue slot drops its entries rather
-    /// than panicking).
-    // audit: kernel(bounds-free)
-    fn commit_evicted<B: SlotSink>(&mut self, sink: &B) {
-        // Destructure into disjoint field borrows so the scratch-array
-        // writes below can't be assumed to alias each other.
-        let Self {
-            evicted,
-            slots,
-            counts,
-            cursors,
-            runs,
-            ..
-        } = self;
-        if evicted.is_empty() {
-            return;
-        }
-        counts.fill(0);
-        slots.clear();
-        for &(pair, _) in evicted.iter() {
-            // cast: u64 -> u32; the high half of the packed pair is the
-            // source vertex id, which is 32 bits by construction.
-            let slot = sink.slot_of(gstream::vertex::VertexId((pair >> 32) as u32));
-            slots.push(slot);
-            if let Some(c) = counts.get_mut(slot as usize) {
-                *c += 1;
-            }
-        }
-        cursors.clear();
-        let mut acc = 0usize;
-        for &c in counts.iter() {
-            cursors.push(acc);
-            acc += c;
-        }
-        runs.clear();
-        runs.resize(evicted.len(), (0, 0));
-        for (&(pair, weight), &slot) in evicted.iter().zip(slots.iter()) {
-            let Some(at) = cursors.get_mut(slot as usize) else {
-                continue;
-            };
-            // The sketch key is derived here — once per committed entry,
-            // not once per arrival.
-            if let Some(r) = runs.get_mut(*at) {
-                *r = (pair_key(pair), weight);
-            }
-            *at += 1;
-        }
-        let mut start = 0usize;
-        for (slot, &end) in cursors.iter().enumerate() {
-            if end > start {
-                let Some(run) = runs.get(start..end) else {
-                    break;
-                };
-                // cast: usize -> u32; slot indices are bounded by the
-                // sink's slot count, which fits u32 (slot ids are u32).
-                sink.commit_run_exclusive(slot as u32, run);
-            }
-            start = end;
-        }
-        evicted.clear();
-    }
-
-    /// Evict every live cache entry and commit everything: after this,
-    /// all absorbed arrivals are visible in the sink.
-    // audit: kernel(bounds-free)
-    fn drain<B: SlotSink>(&mut self, sink: &B) {
-        let sets = &mut self.sets;
-        let evicted = &mut self.evicted;
-        for set in sets.iter_mut() {
-            for j in 0..4 {
-                if set.weights[j] != 0 {
-                    evicted.push((set.pairs[j], set.weights[j]));
-                    set.weights[j] = 0;
-                }
-            }
-        }
-        self.commit_evicted(sink);
-    }
-}
-
-/// Fold one (non-zero-weight) arrival into an owner combiner. Hits
-/// saturating-add into the resident line; misses displace the set's
-/// lightest way — the heaviest (hottest) entries are the ones that
-/// stay. No routing happens here; `sets` and `evicted` are passed as
-/// separate borrows so the optimizer knows they don't alias.
-#[inline]
-fn absorb_owner(
-    sets: &mut [OwnerSet],
-    shift: u32,
-    evicted: &mut Vec<(u64, u64)>,
-    pair: u64,
-    weight: u64,
-) {
-    let set = &mut sets[set_index(pair, shift)];
-    let p = &set.pairs;
-    let w = &set.weights;
-    let hit_mask = u32::from(p[0] == pair && w[0] != 0)
-        | u32::from(p[1] == pair && w[1] != 0) << 1
-        | u32::from(p[2] == pair && w[2] != 0) << 2
-        | u32::from(p[3] == pair && w[3] != 0) << 3;
-    if hit_mask != 0 {
-        let j = hit_mask.trailing_zeros() as usize;
-        set.weights[j] = set.weights[j].saturating_add(weight);
-        return;
-    }
-    let mut victim = 0usize;
-    for j in 1..4 {
-        victim = if set.weights[j] < set.weights[victim] {
-            j
-        } else {
-            victim
-        };
-    }
-    if set.weights[victim] != 0 {
-        evicted.push((set.pairs[victim], set.weights[victim]));
-    }
-    set.pairs[victim] = pair;
-    set.weights[victim] = weight;
-}
-
-impl std::fmt::Debug for OwnerWorker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OwnerWorker")
-            .field("cache_entries", &(self.sets.len() * 4))
-            .field("evicted", &self.evicted.len())
-            .finish_non_exhaustive()
-    }
-}
-
 /// The owner-sharded ingest engine (DESIGN.md §11): a scatter stage on
 /// the calling thread routes each arrival once and hands per-owner
 /// `(pair, weight)` batches over bounded SPSC queues to owning workers.
 /// Each owner holds a **contiguous** slot range of the [`OwnerMap`] — a
-/// contiguous slice of the arena slab — combines locally through its
-/// own slot-less 4-way cache (`OwnerWorker`), and commits with
-/// [`SlotSink::commit_run_exclusive`] plain stores: the sole-writer
+/// contiguous slice of the arena slab — combines locally through the
+/// same combiner as [`ParallelIngest`] (`OwnerWorker`), and always
+/// commits with [`SlotSink::commit_run_exclusive`] plain stores: the sole-writer
 /// path [`ParallelIngest::new_exclusive`] grants one worker is
 /// generalized to N disjoint slice owners, so the owner commit path has
 /// **no atomic RMWs at any thread count**. Owners first-touch their
@@ -887,12 +702,9 @@ impl std::fmt::Debug for OwnerWorker {
 /// With one effective owner there is no handoff at all: no scatter
 /// pass, no queue, **no spawned thread** — the calling thread is the
 /// owner, absorbing the stream in place and committing exclusively.
-/// Skipping the spawn matters more than it looks: `parallel/1t` runs
-/// its sole worker on a scoped thread while the caller blocks in the
-/// scope join, and the fused path's calling-thread loop plus the
-/// `OwnerWorker` absorb/commit discipline measure ≥ 1.15× over it on
-/// the single-core bench host — this is the `sharded/1t` configuration
-/// the ingest bench records against `parallel/1t`.
+/// This is the `sharded/1t` configuration the ingest bench records
+/// against `parallel/1t`, which runs the same combiner on a scoped
+/// thread while the caller blocks in the scope join.
 #[derive(Debug)]
 pub struct ShardedIngest<'s, B: SlotSink = ConcurrentGSketch> {
     sink: &'s B,
@@ -965,13 +777,10 @@ impl<'s, B: SlotSink> ShardedIngest<'s, B> {
         if owners == 1 {
             // Fused path: the calling thread is the sole owner — no
             // scatter pass, no queue, no spawn (see the type docs).
-            let mut worker = OwnerWorker::new(n_slots);
+            let mut worker = OwnerWorker::new(n_slots, true);
             for chunk in stream.chunks(cap) {
                 chunks += 1;
-                worker.absorb_chunk(chunk);
-                if worker.evicted.len() >= SHARD_COMMIT_LEN {
-                    worker.commit_evicted(sink);
-                }
+                worker.absorb_chunk(sink, chunk);
             }
             worker.drain(sink);
             return IngestReport {
@@ -990,17 +799,14 @@ impl<'s, B: SlotSink> ShardedIngest<'s, B> {
                 let (lo, hi) = map.slot_range(w as u32);
                 scope.spawn(move || {
                     sink.warm_slots(lo, hi);
-                    let mut worker = OwnerWorker::new(n_slots);
+                    let mut worker = OwnerWorker::new(n_slots, true);
                     loop {
                         match queue.try_pop() {
                             Some(batch) => {
                                 if batch.is_empty() {
                                     break;
                                 }
-                                worker.absorb_batch(&batch);
-                                if worker.evicted.len() >= SHARD_COMMIT_LEN {
-                                    worker.commit_evicted(sink);
-                                }
+                                worker.absorb_batch(sink, &batch);
                             }
                             None => std::thread::yield_now(),
                         }
@@ -1022,7 +828,7 @@ impl<'s, B: SlotSink> ShardedIngest<'s, B> {
                     let slot = sink.slot_of(se.edge.src);
                     // cast: u32 -> usize is widening on every supported
                     // target; owner ids are < owners = batches.len().
-                    batches[map.owner_of(slot) as usize].push((edge_pair(se), se.weight));
+                    batches[map.owner_of(slot) as usize].push((edge_pair(se.edge), se.weight));
                 }
                 for (w, batch) in batches.iter_mut().enumerate() {
                     if !batch.is_empty() {
@@ -1045,18 +851,14 @@ impl<'s, B: SlotSink> ShardedIngest<'s, B> {
 impl<B: SlotSink> EdgeSink for ParallelIngest<'_, B> {
     fn update(&mut self, se: StreamEdge) {
         let sink = self.sink;
-        let w = self.local_worker();
-        w.absorb(sink, &se);
-        if w.evicted.len() >= EVICT_COMMIT_LEN {
-            w.commit_evicted(sink);
-        }
+        self.local_worker()
+            .absorb_chunk(sink, std::slice::from_ref(&se));
         self.staged_arrivals += 1;
     }
 
     fn ingest_batch(&mut self, batch: &[StreamEdge]) {
         let sink = self.sink;
-        let w = self.local_worker();
-        w.process_chunk(sink, batch);
+        self.local_worker().absorb_chunk(sink, batch);
         self.staged_arrivals += batch.len();
     }
 
@@ -1210,23 +1012,55 @@ mod tests {
         }
     }
 
+    /// Zero weights are identities; a weight beyond `u32::MAX` and
+    /// repeats whose sum overflows a `u32` accumulate in the combiner's
+    /// u64 accumulators. Push mode, a shared two-worker run and an
+    /// exclusive sole worker all commit what a sequential ingest does.
     #[test]
     fn weighted_and_zero_weight_arrivals_handled() {
         let stream = skewed_stream(200);
-        let c = build(&stream);
-        let mut pipe = ParallelIngest::new(&c, 1);
         let e = stream[0].edge;
-        // Zero-weight arrivals are identities.
-        pipe.update(StreamEdge::weighted(e, 0, 0));
-        // A weight beyond the packed u32 accumulator goes out-of-band.
-        pipe.update(StreamEdge::weighted(e, 0, u64::from(u32::MAX) + 5));
-        // Repeated arrivals that overflow the accumulator flush mid-way.
-        pipe.update(StreamEdge::weighted(e, 0, u64::from(u32::MAX)));
-        pipe.update(StreamEdge::weighted(e, 0, 3));
-        pipe.flush();
-        let total = u64::from(u32::MAX) + 5 + u64::from(u32::MAX) + 3;
-        assert_eq!(c.total_weight(), total);
-        assert!(c.estimate(e) >= total);
+        let big = u64::from(u32::MAX);
+        let mut arrivals = stream.clone();
+        for w in [0, big + 5, big, 3, big, big] {
+            arrivals.push(StreamEdge::weighted(e, 0, w));
+        }
+        let build_seq = || {
+            GSketch::builder()
+                .memory_bytes(1 << 16)
+                .min_width(32)
+                .seed(3)
+                .build_from_sample(&stream[..50])
+                .unwrap()
+        };
+        let mut serial = build_seq();
+        serial.ingest(&arrivals);
+        let check = |c: ConcurrentGSketch, mode: &str| {
+            let got = c.into_gsketch();
+            assert_eq!(got.total_weight(), serial.total_weight(), "{mode}");
+            for se in &arrivals {
+                assert_eq!(got.estimate(se.edge), serial.estimate(se.edge), "{mode}");
+            }
+        };
+
+        let c = ConcurrentGSketch::from_gsketch(build_seq());
+        let mut pipe = ParallelIngest::new(&c, 1);
+        for se in &arrivals {
+            pipe.update(*se);
+        }
+        drop(pipe);
+        check(c, "push mode");
+
+        let c = ConcurrentGSketch::from_gsketch(build_seq());
+        ParallelIngest::new(&c, 2)
+            .oversubscribe(true)
+            .chunk_capacity(64)
+            .run_slice(&arrivals);
+        check(c, "two shared workers");
+
+        let mut c = ConcurrentGSketch::from_gsketch(build_seq());
+        ParallelIngest::new_exclusive(&mut c, 1).run_slice(&arrivals);
+        check(c, "exclusive sole worker");
     }
 
     #[test]

@@ -37,7 +37,12 @@
 //! Entry stamps are drawn from one strictly-increasing `u64` counter,
 //! so a stamp can never be reused and the classic ABA staleness of
 //! wrapping generation tags cannot occur.
+//!
+//! [`WindowedReplay`] answers time-travel queries through the same memo,
+//! tagged by pair plus interval, with two domains: sealed intervals
+//! and live ones (DESIGN.md §13).
 
+use crate::pipeline::{edge_pair, set_index};
 use crate::query::EdgeEstimator;
 use crate::sink::EdgeSink;
 use gstream::edge::{Edge, StreamEdge};
@@ -109,41 +114,41 @@ pub struct ReplayStats {
     pub invalidations: u64,
 }
 
-/// One 4-way memo set. Ways are tagged by the raw `(src, dst)` endpoint
-/// pair; `hits[j] == 0` marks way `j` free (an occupied way has
-/// answered at least its filling query). A way is *valid* iff its stamp
-/// equals its domain's current generation and sits at or above the
-/// global floor.
-struct MemoSet {
-    pairs: [u64; 4],
-    values: [u64; 4],
+/// What identifies one cached answer exactly: [`ReplayEngine`] tags by
+/// the packed `(src, dst)` endpoint pair, [`WindowedReplay`] by the
+/// pair plus a dense interval id.
+trait MemoTag: Copy + Eq + std::hash::Hash + Default {
+    /// The set-index input: spreads distinct tags over the sets.
+    fn spread(self) -> u64;
+}
+
+impl MemoTag for u64 {
+    #[inline]
+    fn spread(self) -> u64 {
+        self
+    }
+}
+
+/// Mixes the interval id into the pair, so the same edge under
+/// different intervals lands in different sets.
+impl MemoTag for (u64, u32) {
+    #[inline]
+    fn spread(self) -> u64 {
+        self.0 ^ u64::from(self.1).wrapping_mul(0xA24B_AED4_963E_E407)
+    }
+}
+
+/// One 4-way memo set. `hits[j] == 0` marks way `j` free (an occupied
+/// way has answered at least its filling query). A way is *valid* iff
+/// its stamp equals its domain's current generation and sits at or
+/// above the global floor.
+#[derive(Clone, Copy)]
+struct MemoSet<T, V> {
+    tags: [T; 4],
+    values: [V; 4],
     stamps: [u64; 4],
     domains: [u32; 4],
     hits: [u32; 4],
-}
-
-const EMPTY_MEMO_SET: MemoSet = MemoSet {
-    pairs: [0; 4],
-    values: [0; 4],
-    stamps: [0; 4],
-    domains: [0; 4],
-    hits: [0; 4],
-};
-
-/// The packed endpoint pair identifying an edge exactly (the same
-/// tagging scheme as the ingest combiner's cache).
-#[inline]
-fn edge_pair(e: Edge) -> u64 {
-    (u64::from(e.src.0) << 32) | u64::from(e.dst.0)
-}
-
-/// Memo set index for a pair: one Fibonacci multiply — the memo only
-/// needs spread, not pairwise independence.
-#[inline]
-fn set_index(pair: u64, shift: u32) -> usize {
-    // cast: u64 -> usize; `>> shift` leaves at most (64 - shift) bits,
-    // the set-count bit width, so the index fits and is in range.
-    ((pair ^ (pair >> 29)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
 }
 
 /// Default memo capacity: 2^14 sets × 4 ways ≈ 64k answers — sized so a
@@ -163,7 +168,7 @@ const DEFAULT_ENTRIES: usize = 1 << 16;
 #[derive(Debug)]
 pub struct ReplayEngine<S> {
     inner: S,
-    memo: AnswerMemo,
+    memo: AnswerMemo<u64, u64>,
 }
 
 impl<S: EdgeEstimator + WriteLocalized> ReplayEngine<S> {
@@ -175,8 +180,7 @@ impl<S: EdgeEstimator + WriteLocalized> ReplayEngine<S> {
     /// Front `inner` with a memo of at least `entries` cached answers
     /// (rounded up to a power-of-two set count).
     pub fn with_capacity(inner: S, entries: usize) -> Self {
-        let sets = (entries.max(4) / 4).next_power_of_two();
-        let memo = AnswerMemo::new(sets, inner.write_domains().max(1));
+        let memo = AnswerMemo::with_entries(entries, inner.write_domains().max(1));
         Self { inner, memo }
     }
 
@@ -191,6 +195,7 @@ impl<S: EdgeEstimator + WriteLocalized> ReplayEngine<S> {
         self.memo.answer_batch(
             edges,
             out,
+            edge_pair,
             |src| inner.write_domain(src),
             |miss, vals| inner.estimate_edges(miss, vals),
         );
@@ -208,7 +213,7 @@ impl<S: EdgeEstimator + WriteLocalized> ReplayEngine<S> {
     {
         let inner = &self.inner;
         self.memo
-            .answer_batch(edges, out, |src| inner.write_domain(src), answer);
+            .answer_batch(edges, out, edge_pair, |src| inner.write_domain(src), answer);
     }
 
     /// Scalar convenience: one memoized point query.
@@ -267,12 +272,13 @@ impl<S: EdgeEstimator + WriteLocalized + EdgeSink> EdgeSink for ReplayEngine<S> 
     }
 }
 
-/// The memo proper: sets, generations, and scratch. Split from the
-/// engine so the borrow of the inner estimator (answering misses) and
-/// the borrow of the cache state can coexist.
+/// The memo proper, shared by both replay engines: sets, generations,
+/// and scratch, generic over the tag `T` and the cached answer `V`.
+/// Split from the engines so the borrow of the inner estimator
+/// (answering misses) and the borrow of the cache state can coexist.
 #[derive(Debug)]
-struct AnswerMemo {
-    sets: Box<[MemoSet]>,
+struct AnswerMemo<T, V> {
+    sets: Box<[MemoSet<T, V>]>,
     /// `64 − log2(sets.len())`: the set-index shift.
     shift: u32,
     /// Current generation per invalidation domain.
@@ -291,17 +297,26 @@ struct AnswerMemo {
     /// and the per-distinct-miss dedup map.
     miss_edges: Vec<Edge>,
     miss_occ: Vec<(usize, usize)>,
-    miss_vals: Vec<u64>,
-    miss_index: gstream::fxhash::FxHashMap<u64, usize>,
+    miss_vals: Vec<V>,
+    miss_index: gstream::fxhash::FxHashMap<T, usize>,
     stats: ReplayStats,
 }
 
-impl AnswerMemo {
-    fn new(sets: usize, domains: usize) -> Self {
-        // At least 2 sets so the set-index shift stays below 64.
-        let sets = sets.next_power_of_two().max(2);
+impl<T: MemoTag, V: Copy + Default> AnswerMemo<T, V> {
+    /// A memo of at least `entries` answers (rounded up to a
+    /// power-of-two set count, at least 2 so the set-index shift stays
+    /// below 64) over `domains` invalidation domains.
+    fn with_entries(entries: usize, domains: usize) -> Self {
+        let sets = (entries.max(4) / 4).next_power_of_two().max(2);
+        let empty = MemoSet {
+            tags: [T::default(); 4],
+            values: [V::default(); 4],
+            stamps: [0; 4],
+            domains: [0; 4],
+            hits: [0; 4],
+        };
         Self {
-            sets: (0..sets).map(|_| EMPTY_MEMO_SET).collect(),
+            sets: vec![empty; sets].into_boxed_slice(),
             shift: 64 - sets.trailing_zeros(),
             domain_gens: vec![0; domains],
             floor: 0,
@@ -315,7 +330,7 @@ impl AnswerMemo {
         }
     }
 
-    /// Look up a pair; a hit bumps the way's hit counter (heaviest-stays
+    /// Look up a tag; a hit bumps the way's hit counter (heaviest-stays
     /// currency) and counts toward [`ReplayStats::hits`].
     ///
     /// The set access stays a checked index: `set_index` is in range by
@@ -325,10 +340,10 @@ impl AnswerMemo {
     /// than papered over with a fallback. A way whose domain id has no
     /// generation (shrunken domain table) simply never validates.
     #[inline]
-    fn probe(&mut self, pair: u64) -> Option<u64> {
-        let set = &mut self.sets[set_index(pair, self.shift)];
+    fn probe(&mut self, tag: T) -> Option<V> {
+        let set = &mut self.sets[set_index(tag.spread(), self.shift)];
         for j in 0..4 {
-            if set.pairs[j] == pair
+            if set.tags[j] == tag
                 && set.hits[j] != 0
                 && set.stamps[j] >= self.floor
                 && Some(set.stamps[j]) == self.domain_gens.get(set.domains[j] as usize).copied()
@@ -341,13 +356,16 @@ impl AnswerMemo {
         None
     }
 
-    /// Cache an answer. An existing way holding the same pair (live or
+    /// Cache an answer. An existing way holding the same tag (live or
     /// stale) is refreshed in place; otherwise the **lightest** way is
     /// displaced — dead ways count as weightless, so the hottest live
     /// answers are the ones that stay (the combiner cache's
-    /// heaviest-stays rule, with hit counts as the weight).
+    /// heaviest-stays rule, with hit counts as the weight). Kept out of
+    /// line (it runs once per distinct miss, next to a synopsis probe)
+    /// so the audited kernel stays a symbol of its own.
     // audit: kernel(panic-free)
-    fn insert(&mut self, pair: u64, domain: u32, value: u64) {
+    #[inline(never)]
+    fn insert(&mut self, tag: T, domain: u32, value: V) {
         // A domain last stamped before the global floor gets a fresh
         // generation, so the new entry is live but pre-floor ones stay
         // dead. A domain id with no generation slot cannot produce a
@@ -364,11 +382,11 @@ impl AnswerMemo {
         let stamp = *gen;
         // Checked set index, same rationale as `probe`: in range by
         // construction, counted by the audit ratchet.
-        let set = &mut self.sets[set_index(pair, self.shift)];
+        let set = &mut self.sets[set_index(tag.spread(), self.shift)];
         let mut victim = 0usize;
         let mut victim_weight = u32::MAX;
         for j in 0..4 {
-            if set.pairs[j] == pair && set.hits[j] != 0 {
+            if set.tags[j] == tag && set.hits[j] != 0 {
                 victim = j;
                 break;
             }
@@ -381,7 +399,7 @@ impl AnswerMemo {
                 victim_weight = weight;
             }
         }
-        set.pairs[victim] = pair;
+        set.tags[victim] = tag;
         set.values[victim] = value;
         set.stamps[victim] = stamp;
         set.domains[victim] = domain;
@@ -423,20 +441,29 @@ impl AnswerMemo {
     }
 
     /// The batched probe/answer/fill cycle (see
-    /// [`ReplayEngine::estimate_edges`]). Missed queries are deduplicated
-    /// *within the batch*: a hot edge repeated anywhere in the batch —
-    /// adjacent or scattered — reaches the estimator once and every
-    /// further occurrence is served from the first answer, so the head
-    /// of a Zipf workload pays one synopsis probe per batch even on a
-    /// cold memo. Repeat occurrences count as hits (they are answered
-    /// by the replay layer, not the synopsis).
-    fn answer_batch<D, F>(&mut self, edges: &[Edge], out: &mut Vec<u64>, domain_of: D, answer: F)
-    where
+    /// [`ReplayEngine::estimate_edges`]): `tag_of` names each query's
+    /// answer, `domain_of` the invalidation domain a missed answer is
+    /// stored under. Missed queries are deduplicated *within the
+    /// batch*: a hot edge repeated anywhere in the batch — adjacent or
+    /// scattered — reaches the estimator once and every further
+    /// occurrence is served from the first answer, so the head of a Zipf
+    /// workload pays one synopsis probe per batch even on a cold memo.
+    /// Repeat occurrences count as hits (they are answered by the replay
+    /// layer, not the synopsis).
+    fn answer_batch<K, D, F>(
+        &mut self,
+        edges: &[Edge],
+        out: &mut Vec<V>,
+        tag_of: K,
+        domain_of: D,
+        answer: F,
+    ) where
+        K: Fn(Edge) -> T,
         D: Fn(VertexId) -> u32,
-        F: FnOnce(&[Edge], &mut Vec<u64>),
+        F: FnOnce(&[Edge], &mut Vec<V>),
     {
         out.clear();
-        out.resize(edges.len(), 0);
+        out.resize(edges.len(), V::default());
         let mut miss_edges = std::mem::take(&mut self.miss_edges);
         let mut miss_occ = std::mem::take(&mut self.miss_occ);
         let mut miss_vals = std::mem::take(&mut self.miss_vals);
@@ -445,11 +472,11 @@ impl AnswerMemo {
         miss_occ.clear();
         miss_index.clear();
         for (i, &e) in edges.iter().enumerate() {
-            let pair = edge_pair(e);
-            match self.probe(pair) {
+            let tag = tag_of(e);
+            match self.probe(tag) {
                 Some(v) => out[i] = v,
                 None => {
-                    let slot = *miss_index.entry(pair).or_insert_with(|| {
+                    let slot = *miss_index.entry(tag).or_insert_with(|| {
                         miss_edges.push(e);
                         miss_edges.len() - 1
                     });
@@ -466,7 +493,7 @@ impl AnswerMemo {
                 out[i] = miss_vals[slot];
             }
             for (&e, &v) in miss_edges.iter().zip(&miss_vals) {
-                self.insert(edge_pair(e), domain_of(e.src), v);
+                self.insert(tag_of(e), domain_of(e.src), v);
             }
         }
         self.miss_edges = miss_edges;
@@ -476,7 +503,7 @@ impl AnswerMemo {
     }
 }
 
-impl std::fmt::Debug for MemoSet {
+impl<T, V> std::fmt::Debug for MemoSet<T, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoSet").finish_non_exhaustive()
     }
@@ -486,42 +513,20 @@ impl std::fmt::Debug for MemoSet {
 // Interval-keyed replay for windowed deployments (DESIGN.md §13)
 // ---------------------------------------------------------------------------
 
-/// One 4-way interval-memo set: ways are tagged by the `(pair, interval)`
-/// key and cache the full [`IntervalEstimate`] row (value, bound,
-/// confidence), so the plain and detailed query surfaces share one memo.
-struct IvalSet {
-    pairs: [u64; 4],
-    ivals: [u32; 4],
-    values: [f64; 4],
-    bounds: [f64; 4],
-    confs: [f64; 4],
-    stamps: [u64; 4],
-    hits: [u32; 4],
-}
-
-const EMPTY_IVAL_SET: IvalSet = IvalSet {
-    pairs: [0; 4],
-    ivals: [0; 4],
-    values: [0.0; 4],
-    bounds: [0.0; 4],
-    confs: [0.0; 4],
-    stamps: [0; 4],
-    hits: [0; 4],
-};
-
-impl std::fmt::Debug for IvalSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IvalSet").finish_non_exhaustive()
-    }
-}
-
 use crate::window::IntervalEstimate;
 use crate::WindowedGSketch;
 use sketch::{CmArena, FrequencySketch};
 
+/// The windowed memo's two invalidation domains.
+const SEALED: u32 = 0;
+const LIVE: u32 = 1;
+
 /// A replay engine for **time-travel queries** over a windowed
-/// deployment: a set-associative memo keyed by `(edge pair, interval)`
-/// in front of [`WindowedGSketch::estimate_interval_detailed_batch`].
+/// deployment: the [`ReplayEngine`]'s memo, tagged by `(edge pair,
+/// interval)` and caching the full [`IntervalEstimate`] row (value,
+/// bound, confidence, so the plain and detailed query surfaces share
+/// one memo), in front of
+/// [`WindowedGSketch::estimate_interval_detailed_batch`].
 ///
 /// The point of a separate engine is the **two-domain invalidation
 /// protocol**, which is what makes historical answers effectively
@@ -539,14 +544,15 @@ use sketch::{CmArena, FrequencySketch};
 ///   horizon that never happens: sealed hits survive any amount of
 ///   further ingest.
 /// * A **live** interval (overlapping the open window) is invalidated
-///   by every write batch, exactly like [`ReplayEngine`]'s
-///   single-domain deployments.
+///   by every write, exactly like [`ReplayEngine`]'s single-domain
+///   deployments.
 ///
-/// Classification is monotone — `current_window_start` never decreases,
-/// so a sealed interval can never become live again — and both domain
-/// generations are drawn from one strictly-increasing counter, so a
-/// stale live-domain stamp can never collide with a sealed-domain
-/// generation (no ABA resurrection).
+/// An answer is stored under the domain its interval had when it was
+/// computed. Classification is monotone — `current_window_start` never
+/// decreases, so a sealed interval can never become live again — and
+/// the only event that seals an interval is a write, which kills every
+/// live-domain answer: a live answer is never served once its interval
+/// has sealed.
 ///
 /// Combined with [`crate::persist::load_windowed`], this gives
 /// O(workload) time travel: [`replace_inner`](Self::replace_inner)
@@ -556,24 +562,11 @@ use sketch::{CmArena, FrequencySketch};
 #[derive(Debug)]
 pub struct WindowedReplay<B: FrequencySketch = CmArena> {
     inner: WindowedGSketch<B>,
-    sets: Box<[IvalSet]>,
-    shift: u32,
+    memo: AnswerMemo<(u64, u32), IntervalEstimate>,
     /// Dense id per distinct queried interval (grows with the number of
     /// distinct `[t_start, t_end]` spans the workload uses — a handful
     /// in practice; ids are never recycled).
     interval_ids: gstream::fxhash::FxHashMap<(u64, u64), u32>,
-    /// Generation of the sealed domain (bumped only by coarsening).
-    sealed_gen: u64,
-    /// Generation of the live domain (bumped by every write batch).
-    live_gen: u64,
-    /// Strictly increasing stamp source shared by both domains.
-    next_gen: u64,
-    /// Miss scratch (see [`AnswerMemo`] for the dedup scheme).
-    miss_edges: Vec<Edge>,
-    miss_occ: Vec<(usize, usize)>,
-    miss_rows: Vec<IntervalEstimate>,
-    miss_index: gstream::fxhash::FxHashMap<u64, usize>,
-    stats: ReplayStats,
 }
 
 impl<B: FrequencySketch> WindowedReplay<B> {
@@ -585,121 +578,11 @@ impl<B: FrequencySketch> WindowedReplay<B> {
     /// Front `inner` with a memo of at least `entries` cached answers
     /// (rounded up to a power-of-two set count).
     pub fn with_capacity(inner: WindowedGSketch<B>, entries: usize) -> Self {
-        let sets = (entries.max(4) / 4).next_power_of_two().max(2);
         Self {
             inner,
-            sets: (0..sets).map(|_| EMPTY_IVAL_SET).collect(),
-            shift: 64 - sets.trailing_zeros(),
+            memo: AnswerMemo::with_entries(entries, 2),
             interval_ids: gstream::fxhash::FxHashMap::default(),
-            sealed_gen: 0,
-            live_gen: 1,
-            next_gen: 1,
-            miss_edges: Vec::new(),
-            miss_occ: Vec::new(),
-            miss_rows: Vec::new(),
-            miss_index: gstream::fxhash::FxHashMap::default(),
-            stats: ReplayStats::default(),
         }
-    }
-
-    /// The dense id of interval `(t_start, t_end)`.
-    fn interval_id(&mut self, t_start: u64, t_end: u64) -> u32 {
-        let next = self.interval_ids.len();
-        // cast: interval count is bounded by distinct workload spans,
-        // far below u32::MAX; a truncated id would only cause extra
-        // misses, never a wrong answer.
-        *self
-            .interval_ids
-            .entry((t_start, t_end))
-            .or_insert(next as u32)
-    }
-
-    /// The generation an entry for this interval must carry to be live
-    /// *now*: sealed intervals check against the sealed domain, live
-    /// ones against the live domain.
-    fn current_gen(&self, t_end: u64) -> u64 {
-        if t_end < self.inner.current_window_start() {
-            self.sealed_gen
-        } else {
-            self.live_gen
-        }
-    }
-
-    /// Set index for a `(pair, interval)` key: mix the interval id into
-    /// the pair before the Fibonacci spread so the same edge under
-    /// different intervals lands in different sets.
-    #[inline]
-    fn ival_set_index(&self, pair: u64, ival: u32) -> usize {
-        set_index(
-            pair ^ u64::from(ival).wrapping_mul(0xA24B_AED4_963E_E407),
-            self.shift,
-        )
-    }
-
-    #[inline]
-    fn probe(&mut self, pair: u64, ival: u32, gen: u64) -> Option<IntervalEstimate> {
-        let idx = self.ival_set_index(pair, ival);
-        let set = &mut self.sets[idx];
-        for j in 0..4 {
-            if set.pairs[j] == pair
-                && set.ivals[j] == ival
-                && set.hits[j] != 0
-                && set.stamps[j] == gen
-            {
-                set.hits[j] = set.hits[j].saturating_add(1);
-                self.stats.hits += 1;
-                return Some(IntervalEstimate {
-                    value: set.values[j],
-                    error_bound: set.bounds[j],
-                    confidence: set.confs[j],
-                });
-            }
-        }
-        None
-    }
-
-    fn insert(&mut self, pair: u64, ival: u32, gen: u64, row: IntervalEstimate) {
-        let idx = self.ival_set_index(pair, ival);
-        let (sealed_gen, live_gen) = (self.sealed_gen, self.live_gen);
-        let set = &mut self.sets[idx];
-        let mut victim = 0usize;
-        let mut victim_weight = u32::MAX;
-        for j in 0..4 {
-            if set.pairs[j] == pair && set.ivals[j] == ival && set.hits[j] != 0 {
-                victim = j;
-                break;
-            }
-            // Eviction weight only: a way stamped by neither current
-            // generation is certainly dead (weightless). A stale way
-            // that happens to match one is merely over-weighted — the
-            // probe's exact stamp check keeps correctness.
-            let live =
-                set.hits[j] != 0 && (set.stamps[j] == sealed_gen || set.stamps[j] == live_gen);
-            let weight = if live { set.hits[j] } else { 0 };
-            if weight < victim_weight {
-                victim = j;
-                victim_weight = weight;
-            }
-        }
-        set.pairs[victim] = pair;
-        set.ivals[victim] = ival;
-        set.values[victim] = row.value;
-        set.bounds[victim] = row.error_bound;
-        set.confs[victim] = row.confidence;
-        set.stamps[victim] = gen;
-        set.hits[victim] = 1;
-    }
-
-    fn bump_live(&mut self) {
-        self.next_gen += 1;
-        self.live_gen = self.next_gen;
-        self.stats.invalidations += 1;
-    }
-
-    fn bump_sealed(&mut self) {
-        self.next_gen += 1;
-        self.sealed_gen = self.next_gen;
-        self.stats.invalidations += 1;
     }
 
     /// Memoized
@@ -715,51 +598,28 @@ impl<B: FrequencySketch> WindowedReplay<B> {
         t_end: u64,
         out: &mut Vec<IntervalEstimate>,
     ) {
-        out.clear();
-        out.resize(edges.len(), IntervalEstimate::default());
-        let ival = self.interval_id(t_start, t_end);
-        let gen = self.current_gen(t_end);
-        let mut miss_edges = std::mem::take(&mut self.miss_edges);
-        let mut miss_occ = std::mem::take(&mut self.miss_occ);
-        let mut miss_rows = std::mem::take(&mut self.miss_rows);
-        let mut miss_index = std::mem::take(&mut self.miss_index);
-        miss_edges.clear();
-        miss_occ.clear();
-        miss_index.clear();
-        for (i, &e) in edges.iter().enumerate() {
-            let pair = edge_pair(e);
-            match self.probe(pair, ival, gen) {
-                Some(row) => out[i] = row,
-                None => {
-                    let slot = *miss_index.entry(pair).or_insert_with(|| {
-                        miss_edges.push(e);
-                        miss_edges.len() - 1
-                    });
-                    miss_occ.push((slot, i));
-                }
-            }
-        }
-        if !miss_edges.is_empty() {
-            self.stats.misses += miss_edges.len() as u64;
-            self.stats.hits += (miss_occ.len() - miss_edges.len()) as u64;
-            self.inner.estimate_interval_detailed_batch(
-                &miss_edges,
-                t_start,
-                t_end,
-                &mut miss_rows,
-            );
-            debug_assert_eq!(miss_rows.len(), miss_edges.len());
-            for &(slot, i) in &miss_occ {
-                out[i] = miss_rows[slot];
-            }
-            for (&e, &row) in miss_edges.iter().zip(&miss_rows) {
-                self.insert(edge_pair(e), ival, gen, row);
-            }
-        }
-        self.miss_edges = miss_edges;
-        self.miss_occ = miss_occ;
-        self.miss_rows = miss_rows;
-        self.miss_index = miss_index;
+        let next = self.interval_ids.len();
+        // cast: interval count is bounded by distinct workload spans,
+        // far below u32::MAX; a truncated id would only cause extra
+        // misses, never a wrong answer.
+        let ival = *self
+            .interval_ids
+            .entry((t_start, t_end))
+            .or_insert(next as u32);
+        let inner = &self.inner;
+        let domain = if t_end < inner.current_window_start() {
+            SEALED
+        } else {
+            LIVE
+        };
+        answer_intervals(
+            &mut self.memo,
+            edges,
+            ival,
+            domain,
+            out,
+            &mut |miss, rows| inner.estimate_interval_detailed_batch(miss, t_start, t_end, rows),
+        );
     }
 
     /// Memoized
@@ -782,11 +642,18 @@ impl<B: FrequencySketch> WindowedReplay<B> {
     /// Fallible single-arrival ingest (the windowed counterpart of
     /// [`WindowedGSketch::try_insert`]), with invalidation.
     pub fn try_insert(&mut self, se: StreamEdge) -> Result<(), sketch::SketchError> {
-        self.bump_live();
+        self.write(|w| w.try_insert(se))
+    }
+
+    /// Apply one write to the deployment: it invalidates the live
+    /// domain, and the sealed domain too if it triggered coarsening
+    /// (the only mutation of sealed history).
+    fn write<R>(&mut self, f: impl FnOnce(&mut WindowedGSketch<B>) -> R) -> R {
+        self.memo.invalidate_domain(LIVE);
         let before = self.inner.coarsenings();
-        let r = self.inner.try_insert(se);
+        let r = f(&mut self.inner);
         if self.inner.coarsenings() != before {
-            self.bump_sealed();
+            self.memo.invalidate_domain(SEALED);
         }
         r
     }
@@ -816,22 +683,22 @@ impl<B: FrequencySketch> WindowedReplay<B> {
             && new_spans.len() >= old_spans.len()
             && old_spans == new_spans[..old_spans.len()];
         self.inner = new;
-        self.bump_live();
-        if !preserved {
-            self.bump_sealed();
+        if preserved {
+            self.memo.invalidate_domain(LIVE);
+        } else {
+            self.memo.invalidate_all();
         }
         preserved
     }
 
     /// Drop every cached answer.
     pub fn invalidate_all(&mut self) {
-        self.bump_live();
-        self.bump_sealed();
+        self.memo.invalidate_all();
     }
 
     /// Cumulative hit/miss/invalidation counters.
     pub fn stats(&self) -> ReplayStats {
-        self.stats
+        self.memo.stats
     }
 
     /// Read-only access to the fronted deployment.
@@ -847,28 +714,30 @@ impl<B: FrequencySketch> WindowedReplay<B> {
     }
 }
 
-/// Writes invalidate the live domain before touching the deployment;
-/// if the write triggered coarsening (the only mutation of sealed
-/// history), the sealed domain is invalidated too.
+/// The backend-independent half of
+/// [`WindowedReplay::estimate_interval_detailed_batch`]. Non-generic
+/// (the miss answerer is a `dyn`, called once per batch), so one copy
+/// serves every backend and the memo kernels are codegenned in this
+/// crate, where `xtask audit` reads them.
+fn answer_intervals(
+    memo: &mut AnswerMemo<(u64, u32), IntervalEstimate>,
+    edges: &[Edge],
+    ival: u32,
+    domain: u32,
+    out: &mut Vec<IntervalEstimate>,
+    answer: &mut dyn FnMut(&[Edge], &mut Vec<IntervalEstimate>),
+) {
+    memo.answer_batch(edges, out, |e| (edge_pair(e), ival), |_| domain, answer);
+}
+
 impl<B: FrequencySketch> EdgeSink for WindowedReplay<B> {
     fn update(&mut self, se: StreamEdge) {
-        self.bump_live();
-        let before = self.inner.coarsenings();
-        self.inner.update(se);
-        if self.inner.coarsenings() != before {
-            self.bump_sealed();
-        }
+        self.write(|w| w.update(se));
     }
 
     fn ingest_batch(&mut self, batch: &[StreamEdge]) {
-        if batch.is_empty() {
-            return;
-        }
-        self.bump_live();
-        let before = self.inner.coarsenings();
-        self.inner.ingest_batch(batch);
-        if self.inner.coarsenings() != before {
-            self.bump_sealed();
+        if !batch.is_empty() {
+            self.write(|w| w.ingest_batch(batch));
         }
     }
 
@@ -1241,7 +1110,7 @@ mod tests {
         let (ts, te) = (500u64, u64::MAX); // overlaps the open window
         let mut out = Vec::new();
         engine.estimate_interval_detailed_batch(&queries, ts, te, &mut out);
-        engine.ingest_batch(&wstream(700..760)); // no rotation, same window
+        engine.ingest_batch(&wstream(700..760)); // one rotation; [500, MAX] stays live
         let misses0 = engine.stats().misses;
         engine.estimate_interval_detailed_batch(&queries, ts, te, &mut out);
         assert_eq!(
@@ -1254,6 +1123,36 @@ mod tests {
             .inner()
             .estimate_interval_detailed_batch(&queries, ts, te, &mut bare);
         assert_eq!(out, bare);
+    }
+
+    /// An answer cached while its interval overlaps the open window is
+    /// not served once a rotation seals the interval: the write that
+    /// seals it also kills every live-domain answer.
+    #[test]
+    fn windowed_live_answer_not_served_after_sealing() {
+        use crate::EdgeSink;
+        let mut engine = WindowedReplay::new(wbuild(700));
+        let queries = wqueries();
+        let (ts, te) = (650u64, 720u64);
+        assert!(te >= engine.inner().current_window_start(), "not live");
+        let mut first = Vec::new();
+        engine.estimate_interval_detailed_batch(&queries, ts, te, &mut first);
+        engine.ingest_batch(&wstream(700..850));
+        assert!(te < engine.inner().current_window_start(), "not sealed");
+        let misses0 = engine.stats().misses;
+        let mut again = Vec::new();
+        engine.estimate_interval_detailed_batch(&queries, ts, te, &mut again);
+        assert_eq!(
+            engine.stats().misses,
+            misses0 + queries.len() as u64,
+            "a live answer was served after its interval sealed"
+        );
+        let mut bare = Vec::new();
+        engine
+            .inner()
+            .estimate_interval_detailed_batch(&queries, ts, te, &mut bare);
+        assert_eq!(again, bare);
+        assert_ne!(again, first, "the sealing writes must move the answer");
     }
 
     /// Under a horizon, coarsening is the one event that rewrites sealed

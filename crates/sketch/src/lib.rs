@@ -35,7 +35,7 @@
 //! identical seeds can be merged.
 //!
 //! ```
-//! use sketch::{CountMinSketch, PointEstimator};
+//! use sketch::CountMinSketch;
 //!
 //! let mut cm = CountMinSketch::new(1024, 4, 42).unwrap();
 //! cm.update(7, 3);
@@ -92,66 +92,3 @@ pub use hll::{DegreeSketch, HyperLogLog};
 pub use lossy::LossyCounting;
 pub use spacesaving::{Counter, SpaceSaving};
 pub use windowed::EcmSketch;
-
-/// Common interface for synopses that answer point frequency queries with
-/// non-negative integer estimates. Implemented by the synopses whose point
-/// estimates are one-sided (never underestimate); the AMS sketch's
-/// two-sided float estimates intentionally do not implement it.
-pub trait PointEstimator {
-    /// Record `weight` occurrences of `key`.
-    fn update(&mut self, key: u64, weight: u64);
-    /// Estimate the total weight recorded for `key`.
-    fn estimate(&self, key: u64) -> u64;
-    /// Total weight inserted so far.
-    fn total(&self) -> u64;
-}
-
-impl PointEstimator for CountMinSketch {
-    fn update(&mut self, key: u64, weight: u64) {
-        CountMinSketch::update(self, key, weight);
-    }
-    fn estimate(&self, key: u64) -> u64 {
-        CountMinSketch::estimate(self, key)
-    }
-    fn total(&self) -> u64 {
-        CountMinSketch::total(self)
-    }
-}
-
-impl PointEstimator for LossyCounting {
-    fn update(&mut self, key: u64, weight: u64) {
-        LossyCounting::update(self, key, weight);
-    }
-    fn estimate(&self, key: u64) -> u64 {
-        // Lossy Counting's lower bound plays the role of the estimate.
-        LossyCounting::estimate(self, key)
-    }
-    fn total(&self) -> u64 {
-        self.seen()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trait_object_dispatch() {
-        let mut synopses: Vec<Box<dyn PointEstimator>> = vec![
-            Box::new(CountMinSketch::new(256, 3, 1).unwrap()),
-            Box::new(LossyCounting::new(0.01).unwrap()),
-        ];
-        for s in &mut synopses {
-            for k in 0..50u64 {
-                s.update(k, 2);
-            }
-        }
-        for s in &synopses {
-            assert_eq!(s.total(), 100);
-        }
-        // CountMin never underestimates.
-        assert!(synopses[0].estimate(10) >= 2);
-        // Lossy Counting never overestimates.
-        assert!(synopses[1].estimate(10) <= 2);
-    }
-}
